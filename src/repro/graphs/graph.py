@@ -279,8 +279,8 @@ class Graph:
         ``indices[indptr[v]:indptr[v + 1]]`` lists ``v``'s sorted
         neighbors.  Built once on first call and memoized (the graph is
         immutable); the returned arrays are marked read-only and shared
-        between callers — the engine's bincount scatter path and the
-        batched backend both index them directly.  Dtypes follow
+        between callers — the batched backend's kernels index them
+        directly.  Dtypes follow
         :func:`csr_index_dtypes`: int32 until the node count (indices)
         or the directed edge count (indptr) would overflow it.
 

@@ -70,13 +70,6 @@ def _engine_section(counters: Dict[str, int]) -> Optional[str]:
             counters.get("engine.rounds.scatter_dict", 0),
             _percentage(counters.get("engine.rounds.scatter_dict", 0), processed),
         ),
-        (
-            "  numpy bincount scatter",
-            counters.get("engine.rounds.scatter_bincount", 0),
-            _percentage(
-                counters.get("engine.rounds.scatter_bincount", 0), processed
-            ),
-        ),
         ("calendar heap pushes", counters.get("engine.calendar.heap_pushes", 0), ""),
         ("calendar slot reuses", counters.get("engine.calendar.slot_reuses", 0), ""),
         ("calendar slot allocs", counters.get("engine.calendar.slot_allocs", 0), ""),

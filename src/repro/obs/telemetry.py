@@ -1,7 +1,7 @@
 """Per-run engine telemetry: what the round-engine hot path actually did.
 
 PR 2's engine overhaul (scatter collision resolution, bucketed round
-calendar, numpy bincount accelerator) left the hot path a black box.
+calendar, interned observations) left the hot path a black box.
 :class:`EngineTelemetry` is its flight recorder: one cheap per-round
 counter set, materialized on :attr:`repro.radio.metrics.RunResult.
 telemetry` when a run is invoked with ``telemetry=True`` and ``None``
@@ -31,7 +31,7 @@ class EngineTelemetry:
 
     Round-shape counters partition the processed (populated) rounds:
     ``rounds_processed == zero_tx_rounds + one_tx_rounds +
-    scatter_dict_rounds + scatter_bincount_rounds``.
+    scatter_dict_rounds``.
     """
 
     #: Populated rounds the main loop processed.
@@ -44,8 +44,6 @@ class EngineTelemetry:
     one_tx_rounds: int = 0
     #: Multi-transmitter rounds tallied by the dict scatter.
     scatter_dict_rounds: int = 0
-    #: Multi-transmitter rounds tallied by the numpy weighted bincount.
-    scatter_bincount_rounds: int = 0
     #: Distinct-round heap pushes (calendar slot creations).
     heap_pushes: int = 0
     #: Calendar slots served from the slot pool.
@@ -77,7 +75,6 @@ class EngineTelemetry:
             "zero_tx_rounds": self.zero_tx_rounds,
             "one_tx_rounds": self.one_tx_rounds,
             "scatter_dict_rounds": self.scatter_dict_rounds,
-            "scatter_bincount_rounds": self.scatter_bincount_rounds,
             "heap_pushes": self.heap_pushes,
             "slot_reuses": self.slot_reuses,
             "slot_allocs": self.slot_allocs,
@@ -103,9 +100,6 @@ class EngineTelemetry:
         registry.counter("engine.rounds.one_tx").inc(self.one_tx_rounds)
         registry.counter("engine.rounds.scatter_dict").inc(
             self.scatter_dict_rounds
-        )
-        registry.counter("engine.rounds.scatter_bincount").inc(
-            self.scatter_bincount_rounds
         )
         registry.counter("engine.calendar.heap_pushes").inc(self.heap_pushes)
         registry.counter("engine.calendar.slot_reuses").inc(self.slot_reuses)

@@ -1,29 +1,28 @@
-"""Frozen copy of the seed round engine, kept as a golden oracle.
+"""Reference round engine: the semantic spec and the differential oracle.
 
-PR 2 rewrote :func:`repro.radio.engine.run_protocol`'s inner loop for
-throughput (scatter-based collision resolution, a bucketed round
-calendar, type-tag action dispatch).  The optimization contract is
-**bit-identical output**: every :class:`~repro.radio.metrics.RunResult`
-and every trace event must match what the original per-listener
-set-intersection engine produced.  This module preserves that original
-engine verbatim (only renamed) so the golden-equivalence tests in
-``tests/radio/test_engine_golden.py`` can compare the two on every
-protocol x model x seed combination without trusting checked-in
-fixtures.
+This is the original engine in its straightforward form — one heap of
+``(round, tick)`` events, per-listener set intersection against the
+round's transmitters, one branch per feature — kept as the readable
+statement of the model's semantics.  The optimized
+:func:`repro.radio.engine.run_protocol` must reproduce it **bit for
+bit**: every :class:`~repro.radio.metrics.RunResult` and every trace
+event.  The golden tests (``tests/radio/test_engine_golden.py``) and
+the Hypothesis fuzz suites compare the two engines on every protocol x
+model x seed combination, fault plan, churn plan and channel choice,
+without trusting checked-in fixtures.
 
-Do not optimize or "clean up" this file; its value is that it does not
-change.  It is not part of the public API and is exercised only by
+It is not a frozen copy: faults (message loss, jamming, crash-stop and
+crash-recovery, wake skew), topology churn with MIS repair, and the
+multichannel dimension (perceivers resolve against same-channel
+transmitters only) were written into it alongside the optimized engine,
+each as the plainest code that states the semantics.  Rounds where every
+action sits on channel 0 take the historical resolution path.
+
+Do not optimize this file; its value is that it stays obviously
+correct.  It is not part of the public API and is exercised only by
 tests and by ``benchmarks/bench_perf_engine.py`` (which reports the
 optimized engine's speedup over this one).
-
-The one semantic extension since the freeze is the multichannel
-dimension: actions carry a channel index and perceivers resolve against
-same-channel transmitters only (mirroring the optimized engine, which
-the channels property tests compare against).  Rounds where every
-action sits on channel 0 — all pre-channels workloads — take the
-historical resolution path verbatim.
 """
-
 
 from __future__ import annotations
 

@@ -19,36 +19,34 @@ Collision semantics per round (Section 1.1 of the paper):
 Energy accounting is exact: one unit per transmit or listen round,
 attributed to the node's current ledger component.
 
-Hot-path structure (PR 2; see "Engine internals" in ``docs/API.md``):
+Hot-path structure (see "Engine internals" in ``docs/API.md``):
 
-* **Scatter resolution** — instead of intersecting every perceiver's
-  neighborhood with the transmitter set (O(perceivers x transmitters)
-  in the dense case), the engine iterates the round's transmitters once
-  and tallies a per-node transmitter count over their adjacency tuples
-  (each tuple counted at C speed); per-round cost is
-  O(sum of deg(transmitter) + awake nodes).  Rounds with zero or one
-  transmitter skip the scatter entirely; rounds whose scatter size
-  crosses a break-even threshold use a weighted ``numpy.bincount`` over
-  precomputed edge arrays instead, when numpy is installed (the dict
-  scatter remains the exact, always-available fallback).
+* **One round loop** — each populated round first picks one resolution
+  shape: silence (no transmitter), a lone transmitter (membership in its
+  neighborhood decides), a dict scatter (the round's transmitters are
+  iterated once and a per-node transmitter count is tallied over their
+  adjacency tuples at C speed, O(sum of deg(transmitter)) per round), or
+  per channel (any nonzero-channel action; a small resolver fills a
+  node -> observation map).  Then exactly one per-node loop charges
+  energy, reads the node's observation, applies the fault channel,
+  records the trace, and resumes the node.
 * **Round calendar** — pending actions live in a dict of
   ``round -> [(runner, payload-or-LISTEN)]`` buckets; a small heap
   orders only the *distinct* populated round numbers, so the per-action
   cost is an O(1) list append instead of an O(log awake) heap push.
+  Emptied slots are pooled and reused.
+* **Inline scheduling** — the round loop resumes each node and, when
+  its next action is an immediate transmit/listen needing no crash or
+  RADIO-CONGEST check, parks it straight into a cached next-round slot;
+  everything else takes the general ``advance_action`` path.
 * **Interned observations** — each collision model exposes its
   count-bucketed outcomes (:attr:`~repro.radio.models.CollisionModel.
   observation_zero` / ``_one`` / ``_many``) as shared singletons, so
   ``model.resolve`` virtual calls never run inside the round loop.
-* **Shape-specialized round loops** — untraced runs without sender-side
-  detection (virtually all) resume nodes through one of three tight
-  loops (silent round / lone transmitter / scatter) that inline both
-  the energy charge and the schedule-next-action fast path; tracing and
-  sender-side detection take a generic loop so their cost never taxes
-  the common case.
 
-The pre-optimization engine is preserved verbatim in
-``repro.radio._engine_reference`` and the golden tests in
-``tests/radio/test_engine_golden.py`` assert both produce bit-identical
+``repro.radio._engine_reference`` states the same semantics in plain
+form, and the golden tests in ``tests/radio/test_engine_golden.py``
+assert both produce bit-identical
 :class:`~repro.radio.metrics.RunResult`s and traces.
 
 Telemetry (PR 3): ``run_protocol(..., telemetry=True)`` attaches an
@@ -75,11 +73,6 @@ except ImportError:  # pragma: no cover - non-CPython fallback
         for element in iterable:
             mapping[element] = get(element, 0) + 1
 
-try:  # Optional dense-round scatter accelerator; dict scatter is the fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
-
 from time import perf_counter
 
 from ..errors import MessageSizeError, ProtocolError, SimulationError
@@ -96,7 +89,7 @@ from .metrics import NodeStats, RunResult
 from .models import CollisionModel
 from .node import NodeContext, Protocol
 from .observations import message, observation_label
-from .trace import NullTrace, TraceEvent, TraceSink
+from .trace import TraceEvent, TraceSink
 
 __all__ = ["run_protocol", "DEFAULT_MAX_ROUNDS", "payload_bits"]
 
@@ -106,11 +99,14 @@ DEFAULT_MAX_ROUNDS = 50_000_000
 #: Safety slack multiplied onto a protocol's own round-budget hint.
 _HINT_SLACK = 4
 
-_NULL_TRACE = NullTrace()
-
 #: Calendar-bucket sentinel marking a listen (any transmit payload,
 #: including ``None``, is distinguishable from this private object).
 _LISTEN = object()
+
+#: How a round's observations are resolved, chosen once per round:
+#: nobody transmits, one transmitter, a dict scatter over several, or
+#: per channel (any nonzero-channel action in the round).
+_SILENT, _LONE, _SCATTER, _PER_CHANNEL = range(4)
 
 
 def payload_bits(payload: Any) -> int:
@@ -308,9 +304,8 @@ def run_protocol(
     calendar: Dict[int, _Slot] = {}
     # Multichannel side calendar: ``round -> {node: channel}`` for
     # actions parked on a nonzero channel (see repro.radio.channels in
-    # docs/API.md).  Single-channel protocols never populate it, the
-    # round loop then never consults it, and every pre-channels fast
-    # path runs bit-identically.
+    # docs/API.md).  Single-channel protocols never populate it, and the
+    # round loop then only pays an empty-dict truth test per round.
     mc_calendar: Dict[int, Dict[int, int]] = {}
     round_heap: List[int] = []
     heappush = heapq.heappush
@@ -320,32 +315,13 @@ def run_protocol(
     # Per-run reusable buffers, hoisted out of the round loop.  ``counts``
     # is the scatter target; ``slot_pool`` recycles emptied calendar
     # slots so steady-state rounds allocate no new lists.
-    # Plain dict, NOT a Counter: the specialized loop distinguishes
+    # Plain dict, NOT a Counter: the round loop distinguishes
     # "no transmitting neighbors" by ``KeyError`` on subscript, which
     # ``Counter.__missing__`` would silently turn into 0.
     counts: Dict[int, int] = {}
-    counts_get = counts.get
     slot_pool: List[_Slot] = []
     chain_from_iterable = chain.from_iterable
     adjacency_at = adjacency.__getitem__
-    degrees = tuple(map(len, adjacency))
-    degrees_at = degrees.__getitem__
-
-    # Heavy-round scatter accelerator: a weighted ``numpy.bincount`` over
-    # the (directed) edge arrays tallies every node's transmitting
-    # neighbors in one C pass over ALL edges — cheaper than hashing each
-    # touched node into ``counts`` once a round's scatter size crosses
-    # the break-even point modelled below (~40ns per dict increment vs a
-    # fixed call overhead plus ~4ns per edge).  Rounds below it, and
-    # numpy-less installs, keep the exact dict scatter; both produce the
-    # same integer tallies, so results are bit-identical either way.
-    total_directed = sum(degrees)
-    # Churned runs keep the exact dict scatter: the bincount path reads
-    # CSR edge arrays frozen at build time, which a mutating topology
-    # would silently invalidate.
-    use_np_scatter = _np is not None and churn_rt is None
-    np_scatter_threshold = 400 + (total_directed + 2 * num_nodes) // 10
-    scatter_arrays = None  # (targets, sources, tx_vector), built lazily
 
     # Hot-path telemetry (see EngineTelemetry).  All counters tick at
     # per-round (or per-slot-creation) granularity — never per node per
@@ -354,8 +330,7 @@ def run_protocol(
     # clock-jump counts are derived after the loop rather than paid
     # inside it.
     tel_one_tx = 0
-    tel_scatter_dict = 0
-    tel_scatter_np = 0
+    tel_scatter = 0
     tel_heap_pushes = 0
     tel_slot_reuses = 0
     tel_slot_allocs = 0
@@ -390,6 +365,21 @@ def run_protocol(
         runner = _NodeRunner(node, generator, ctx)
         runners.append(runner)
 
+    def open_slot(when: int) -> _Slot:
+        """Register an empty calendar slot for round ``when``, pooled if
+        possible."""
+        nonlocal tel_heap_pushes, tel_slot_reuses, tel_slot_allocs
+        if slot_pool:
+            slot = slot_pool.pop()
+            tel_slot_reuses += 1
+        else:
+            slot = ([], [], [])
+            tel_slot_allocs += 1
+        calendar[when] = slot
+        heappush(round_heap, when)
+        tel_heap_pushes += 1
+        return slot
+
     def advance_action(runner: _NodeRunner, action) -> None:
         """Process ``action`` (and any follow-up sleeps) until the runner
         parks an awake action in the calendar or terminates.
@@ -398,7 +388,6 @@ def run_protocol(
         ``action`` would execute.  Consecutive sleeps collapse without
         touching the calendar.
         """
-        nonlocal tel_heap_pushes, tel_slot_reuses, tel_slot_allocs
         ctx = runner.ctx
         send = runner.send
         while True:
@@ -422,48 +411,11 @@ def run_protocol(
                             runner.done = True
                             runner.crashed = True
                             runner.finish_round = crash_round
-                            return
-                        # Crash-recovery: restart the protocol from
-                        # scratch at crash_round + delay — fresh RNG
-                        # stream (incarnation-salted), fresh
-                        # decision/info state, local clock resumed at
-                        # the restart round.  Energy spent before the
-                        # crash stays on the carried-over ledger.
-                        runner.restarts += 1
-                        restart_round = crash_round + recovery_delay
-                        runner.last_restart_round = restart_round
-                        ledger = ctx.energy_by_component
-                        ctx = NodeContext(
-                            runner.node,
-                            restart_rng(seed, runner.node, runner.restarts),
-                            n=ctx_n,
-                            delta=ctx_delta,
-                        )
-                        ctx.energy_by_component = ledger
-                        ctx._now = restart_round
-                        ctx.restart_round = restart_round
-                        runner.ctx = ctx
-                        runner.generator = protocol.run(ctx)
-                        runner.send = send = runner.generator.send
-                        try:
-                            action = send(None)
-                        except StopIteration:
-                            runner.done = True
-                            runner.finish_round = restart_round
-                            return
-                        continue
+                        else:
+                            restart(runner, crash_round + recovery_delay)
+                        return
                 when = ctx._now
-                slot = calendar_get(when)
-                if slot is None:
-                    if slot_pool:
-                        slot = slot_pool.pop()
-                        tel_slot_reuses += 1
-                    else:
-                        slot = ([], [], [])
-                        tel_slot_allocs += 1
-                    calendar[when] = slot
-                    heappush(round_heap, when)
-                    tel_heap_pushes += 1
+                slot = calendar_get(when) or open_slot(when)
                 if tag == TAG_TRANSMIT:
                     payload = action.payload
                     if message_bits is not None:
@@ -479,10 +431,7 @@ def run_protocol(
                 else:
                     slot[0].append((runner, _LISTEN))
                 if action.channel:
-                    mc_slot = mc_calendar.get(when)
-                    if mc_slot is None:
-                        mc_slot = mc_calendar[when] = {}
-                    mc_slot[runner.node] = action.channel
+                    mc_calendar.setdefault(when, {})[runner.node] = action.channel
                 return
             if tag == TAG_SLEEP:
                 ctx._now += action.rounds
@@ -516,29 +465,27 @@ def run_protocol(
             return
         advance_action(runner, action)
 
-    def churn_restart(node: int, restart_round: int) -> None:
-        """Restart a finished node's protocol for MIS repair.
+    def restart(runner: _NodeRunner, restart_round: int) -> None:
+        """Reincarnate ``runner``'s protocol at ``restart_round`` and
+        schedule its first action.
 
-        Same reincarnation recipe as crash recovery — fresh
-        incarnation-salted RNG, fresh decision/info state, carried-over
-        energy ledger — so repair restarts are seed-deterministic and
-        identical across engines (see repro.faults.churn).
+        Crash recovery and churn repair share this recipe: a fresh
+        incarnation-salted RNG stream, fresh decision/info state, the
+        local clock (and ``ctx.restart_round``, which protocols read as
+        their phase base) at the restart round, and the energy ledger
+        carried over, so restarts are seed-deterministic and identical
+        across engines (see repro.faults).
         """
-        runner = runners[node]
         runner.restarts += 1
         runner.last_restart_round = restart_round
         runner.done = False
         runner.finish_round = -1
-        ledger = runner.ctx.energy_by_component
+        node = runner.node
         ctx = NodeContext(
-            node,
-            restart_rng(seed, node, runner.restarts),
-            n=ctx_n,
-            delta=ctx_delta,
+            node, restart_rng(seed, node, runner.restarts), n=ctx_n, delta=ctx_delta
         )
-        ctx.energy_by_component = ledger
-        ctx._now = restart_round
-        ctx.restart_round = restart_round
+        ctx.energy_by_component = runner.ctx.energy_by_component
+        ctx._now = ctx.restart_round = restart_round
         runner.ctx = ctx
         runner.generator = protocol.run(ctx)
         runner.send = runner.generator.send
@@ -551,139 +498,53 @@ def run_protocol(
     # Main loop: process one populated round at a time.
     # ------------------------------------------------------------------
     record_trace = trace is not None and trace.enabled
-    sink = trace if trace is not None else _NULL_TRACE
-
     sender_side = model.sender_side_detection
     obs_zero = model.observation_zero
     obs_one = model.observation_one  # None => deliver message(lone_payload)
     obs_many = model.observation_many
 
-    # The specialized loops below inline advance()'s fast path; that is
-    # only valid when a fresh transmit/listen needs no crash or congest
-    # checks before scheduling.
-    fast_schedule = crash_events is None and message_bits is None
-
-    def multichannel_round(
-        current_round: int,
+    def resolve_channels(
         bucket: List[Tuple[_NodeRunner, Any]],
         tx_nodes: List[int],
         tx_payloads: List[Any],
-        mc: Dict[int, int],
-    ) -> None:
-        """Resolve one round that has at least one nonzero-channel action.
+        channel_of: Dict[int, int],
+    ) -> Dict[int, Any]:
+        """Map each perceiver of a multichannel round to its observation.
 
-        Transmitters are grouped by channel and each group is tallied
-        with the same lone-neighborhood / dict-scatter machinery as the
-        single-channel paths; each perceiver then reads the outcome of
-        *its own* channel.  Energy, traces, fault perturbation, and
-        resume order all match the generic loop (tick order), so a
-        multichannel run is deterministic and engine-portable.  This
-        path never runs for single-channel protocols.
+        A perceiver counts only the transmitting neighbors tuned to *its
+        own* channel (``channel_of``, default 0), bucketed zero / one /
+        many exactly as a single-channel round is.  Faults are applied
+        afterwards by the round loop.
         """
         nonlocal tel_mc_rounds
         tel_mc_rounds += 1
-        mc_get = mc.get
-        payload_of = dict(zip(tx_nodes, tx_payloads))
-        tx_by_channel: Dict[int, List[int]] = {}
-        for node in tx_nodes:
-            ch = mc_get(node, 0)
-            group = tx_by_channel.get(ch)
-            if group is None:
-                tx_by_channel[ch] = [node]
-            else:
-                group.append(node)
-        # Per-channel resolution state: ``(lone_set, lone_obs, None,
-        # None)`` for a lone transmitter, ``(None, None, counts,
-        # tx_set)`` for a contended channel.  Channels nobody transmits
-        # on resolve to silence via the .get(None) miss below.
-        resolved: Dict[int, Tuple] = {}
-        for ch, group in tx_by_channel.items():
+        senders: Dict[int, Dict[int, Any]] = {}  # channel -> {node: payload}
+        for node, payload in zip(tx_nodes, tx_payloads):
+            senders.setdefault(channel_of.get(node, 0), {})[node] = payload
+        for ch, on_channel in senders.items():
             tel_channel_tx[ch] = tel_channel_tx.get(ch, 0) + 1
-            if len(group) == 1:
-                lone = group[0]
-                lone_obs = (
-                    message(payload_of[lone]) if obs_one is None else obs_one
-                )
-                resolved[ch] = (neighbor_sets[lone], lone_obs, None, None)
-            else:
-                tel_channel_collisions[ch] = (
-                    tel_channel_collisions.get(ch, 0) + 1
-                )
-                ch_counts: Dict[int, int] = {}
-                _count_elements(
-                    ch_counts, chain_from_iterable(map(adjacency_at, group))
-                )
-                resolved[ch] = (None, None, ch_counts, set(group))
-        resolved_get = resolved.get
-        next_round = current_round + 1
+            if len(on_channel) > 1:
+                tel_channel_collisions[ch] = tel_channel_collisions.get(ch, 0) + 1
+        observations: Dict[int, Any] = {}
         for runner, payload in bucket:
-            node = runner.node
-            listening = payload is _LISTEN
-            ctx = runner.ctx
-            ledger = ctx.energy_by_component
-            component = ctx._component
-            try:
-                ledger[component] += 1
-            except KeyError:
-                ledger[component] = 1
-            if listening or sender_side:
-                ch = mc_get(node, 0)
-                info = resolved_get(ch)
-                if info is None:
-                    observation = obs_zero
+            if payload is _LISTEN or sender_side:
+                node = runner.node
+                on_channel = senders.get(channel_of.get(node, 0))
+                heard = neighbor_sets[node] & on_channel.keys() if on_channel else ()
+                if not heard:
+                    observations[node] = obs_zero
+                elif len(heard) >= 2:
+                    observations[node] = obs_many
+                elif obs_one is not None:
+                    observations[node] = obs_one
                 else:
-                    lone_set, lone_obs, ch_counts, ch_tx = info
-                    if ch_counts is None:
-                        observation = (
-                            lone_obs if node in lone_set else obs_zero
-                        )
-                    else:
-                        count = ch_counts.get(node, 0)
-                        if count >= 2:
-                            observation = obs_many
-                        elif not count:
-                            observation = obs_zero
-                        elif obs_one is not None:
-                            observation = obs_one
-                        else:
-                            # The unique same-channel talking neighbor
-                            # (set on the left so the intersection is
-                            # poppable — neighbor_sets are frozensets).
-                            observation = message(
-                                payload_of[(ch_tx & neighbor_sets[node]).pop()]
-                            )
-                if fault_channel is not None:
-                    observation = fault_channel(
-                        current_round, node, observation, ch
-                    )
-            else:
-                observation = None
-            if listening:
-                runner.listen_rounds += 1
-                if record_trace:
-                    sink.record(
-                        TraceEvent(
-                            round=current_round,
-                            node=node,
-                            action="listen",
-                            observed=observation_label(observation, model),
-                        )
-                    )
-            else:
-                runner.transmit_rounds += 1
-                if record_trace:
-                    sink.record(
-                        TraceEvent(
-                            round=current_round,
-                            node=node,
-                            action="transmit",
-                            payload=payload,
-                        )
-                    )
-                if not sender_side:
-                    observation = None
-            ctx._now = next_round
-            advance(runner, observation)
+                    observations[node] = message(on_channel[heard.pop()])
+        return observations
+
+    # The round loop inlines advance()'s fast path; that is only valid
+    # when a fresh transmit/listen needs no crash or congest checks
+    # before scheduling.
+    fast_schedule = crash_events is None and message_bits is None
 
     # Populated rounds are processed in increasing order, so the span
     # [first processed, last processed] minus the processed count is the
@@ -703,7 +564,7 @@ def run_protocol(
             if not restarts:
                 break
             for repair_node, repair_round in restarts:
-                churn_restart(repair_node, repair_round)
+                restart(runners[repair_node], repair_round)
             continue
         current_round = round_heap[0]
         if churn_rt is not None:
@@ -712,7 +573,7 @@ def run_protocol(
                 # Repair restarts may park actions before the current
                 # heap top; re-read the calendar before processing.
                 for repair_node, repair_round in restarts:
-                    churn_restart(repair_node, repair_round)
+                    restart(runners[repair_node], repair_round)
                 continue
         if current_round >= max_rounds:
             awake = sorted(
@@ -729,113 +590,82 @@ def run_protocol(
         tel_rounds += 1
         last_round = current_round
 
-        # Rounds with any nonzero-channel action take the dedicated
-        # per-channel resolver; the (empty-dict) truth test is the only
-        # cost single-channel runs pay here.  Telemetry buckets the
-        # round by its total transmitter count so the fast-path
-        # breakdown invariant (processed == zero+one+dict+bincount)
-        # holds across channel counts.
-        if mc_calendar:
-            mc = mc_calendar.pop(current_round, None)
-            if mc is not None:
-                if tx_count == 1:
-                    tel_one_tx += 1
-                elif tx_count > 1:
-                    tel_scatter_dict += 1
-                multichannel_round(
-                    current_round, bucket, tx_nodes, tx_payloads, mc
-                )
-                if len(slot_pool) < 64:
-                    bucket.clear()
-                    tx_nodes.clear()
-                    tx_payloads.clear()
-                    slot_pool.append(current_slot)
-                continue
-
-        # Collision resolution.  0- and 1-transmitter rounds need no
-        # scatter: everyone hears silence, or membership in the lone
-        # transmitter's neighborhood decides.  Otherwise one scatter pass
-        # over the transmitters' adjacency tuples tallies, per node, how
-        # many neighbors are talking — O(sum deg(transmitter)) total,
-        # independent of how many nodes listen.
-        # ``tx_map`` (node -> payload) is built lazily, only when a
-        # payload-carrying model actually delivers a lone neighbor's
-        # message this round — dense rounds where every perceiver sees a
-        # collision never pay for it.
-        tx_map: Optional[Dict[int, Any]] = None
-        counts_list: Optional[List[float]] = None
+        # Collision resolution picks one shape per round.  Silence and a
+        # lone transmitter need no tally: everyone hears nothing, or
+        # membership in the lone transmitter's neighborhood decides.
+        # Otherwise one C-level scatter pass over the transmitters'
+        # adjacency tuples tallies, per node, how many neighbors are
+        # talking — O(sum deg(transmitter)), independent of how many
+        # nodes listen.  A round with any nonzero-channel action is
+        # resolved per channel up front instead.  Telemetry buckets every
+        # round by its total transmitter count, so the fast-path
+        # partition holds across channel counts.
         if tx_count == 1:
             tel_one_tx += 1
+        elif tx_count:
+            tel_scatter += 1
+        round_channels = mc_calendar.pop(current_round, None) if mc_calendar else None
+        if round_channels is not None:
+            shape = _PER_CHANNEL
+            channel_observations = resolve_channels(
+                bucket, tx_nodes, tx_payloads, round_channels
+            )
+        elif not tx_count:
+            shape = _SILENT
+        elif tx_count == 1:
+            shape = _LONE
             lone_neighbors = neighbor_sets[tx_nodes[0]]
             lone_observation = (
                 message(tx_payloads[0]) if obs_one is None else obs_one
             )
-        elif tx_count > 1:
-            if (
-                use_np_scatter
-                and sum(map(degrees_at, tx_nodes)) > np_scatter_threshold
-            ):
-                tel_scatter_np += 1
-                if scatter_arrays is None:
-                    # The graph memoizes its flat CSR form, so repeated
-                    # runs on the same topology share one build.
-                    indptr, targets = graph.csr()
-                    sources = _np.repeat(
-                        _np.arange(num_nodes, dtype=_np.intp),
-                        _np.diff(indptr),
-                    )
-                    scatter_arrays = (targets, sources, _np.zeros(num_nodes))
-                targets, sources, tx_vector = scatter_arrays
-                tx_vector[tx_nodes] = 1.0
-                counts_list = _np.bincount(
-                    targets, weights=tx_vector[sources], minlength=num_nodes
-                ).tolist()
-                tx_vector[tx_nodes] = 0.0
-            else:
-                tel_scatter_dict += 1
-                # One C-level pipeline: index the adjacency tuples, chain
-                # them, and tally — no Python-level per-transmitter loop.
-                _count_elements(
-                    counts, chain_from_iterable(map(adjacency_at, tx_nodes))
-                )
+        else:
+            shape = _SCATTER
+            _count_elements(
+                counts, chain_from_iterable(map(adjacency_at, tx_nodes))
+            )
+        # ``tx_map`` (node -> payload) is built lazily, only when a
+        # payload-carrying model delivers a lone talking neighbor's
+        # message in a scatter round.
+        tx_map: Optional[Dict[int, Any]] = None
 
-        # Charge energy, resolve observations, trace, and resume everyone
-        # who acted, in the seed engine's (tick-order) sequence.  The
-        # untraced non-sender-side case (virtually every run) takes one
-        # of three loops specialized by round shape, each inlining the
-        # energy charge (NodeContext._charge_awake_round documents this
-        # contract) and advance()'s fast path; tracing and sender-side
-        # detection take the generic loop below so their cost never
-        # taxes the common case.
+        # Charge energy, read each perceiver's observation, apply faults,
+        # trace, and resume everyone who acted, in the seed engine's
+        # (tick-order) sequence.  The energy charge is inlined
+        # (NodeContext._charge_awake_round documents this contract), and
+        # so is advance()'s fast path.
         next_round = current_round + 1
         next_slot: Optional[_Slot] = None
-        if record_trace or sender_side or fault_channel is not None:
-            for runner, payload in bucket:
+        for runner, payload in bucket:
+            ctx = runner.ctx
+            ledger = ctx.energy_by_component
+            component = ctx._component
+            try:
+                ledger[component] += 1
+            except KeyError:
+                ledger[component] = 1
+            if payload is _LISTEN:
+                runner.listen_rounds += 1
+            else:
+                runner.transmit_rounds += 1
+            if payload is _LISTEN or sender_side:
                 node = runner.node
-                listening = payload is _LISTEN
-                ctx = runner.ctx
-                ledger = ctx.energy_by_component
-                component = ctx._component
-                try:
-                    ledger[component] += 1
-                except KeyError:
-                    ledger[component] = 1
-                if listening or sender_side:
-                    if tx_count == 0:
+                if shape == _SILENT:
+                    observation = obs_zero
+                elif shape == _LONE:
+                    observation = (
+                        lone_observation if node in lone_neighbors else obs_zero
+                    )
+                elif shape == _SCATTER:
+                    # A node absent from the scatter tally has zero
+                    # transmitting neighbors; a present one has >= 1, so
+                    # the >= 2 test alone separates the buckets.
+                    try:
+                        count = counts[node]
+                    except KeyError:
                         observation = obs_zero
-                    elif tx_count == 1:
-                        observation = (
-                            lone_observation if node in lone_neighbors else obs_zero
-                        )
                     else:
-                        if counts_list is None:
-                            count = counts_get(node, 0)
-                        else:
-                            count = counts_list[node]
                         if count >= 2:
                             observation = obs_many
-                        elif not count:
-                            observation = obs_zero
                         elif obs_one is not None:
                             observation = obs_one
                         else:
@@ -847,135 +677,56 @@ def run_protocol(
                             observation = message(
                                 tx_map[(neighbor_sets[node] & tx_keys).pop()]
                             )
-                    if fault_channel is not None:
-                        # Collision-resolution hook: the fault channel
-                        # perturbs what this perceiver reads (jam wins
-                        # over drop; see repro.faults.injector).
-                        observation = fault_channel(
-                            current_round, node, observation
-                        )
                 else:
-                    observation = None
-                if listening:
-                    runner.listen_rounds += 1
-                    if record_trace:
-                        sink.record(
-                            TraceEvent(
-                                round=current_round,
-                                node=node,
-                                action="listen",
-                                observed=observation_label(observation, model),
-                            )
-                        )
-                else:
-                    runner.transmit_rounds += 1
-                    if record_trace:
-                        sink.record(
-                            TraceEvent(
-                                round=current_round,
-                                node=node,
-                                action="transmit",
-                                payload=payload,
-                            )
-                        )
-                    if not sender_side:
-                        observation = None
-                ctx._now = next_round
-                advance(runner, observation)
-        else:
-            for runner, payload in bucket:
-                ctx = runner.ctx
-                ledger = ctx.energy_by_component
-                component = ctx._component
-                try:
-                    ledger[component] += 1
-                except KeyError:
-                    ledger[component] = 1
+                    observation = channel_observations[node]
+                if fault_channel is not None:
+                    # Collision-resolution hook: the fault channel
+                    # perturbs what this perceiver reads on its channel
+                    # (jam wins over drop; see repro.faults.injector).
+                    observation = fault_channel(
+                        current_round,
+                        node,
+                        observation,
+                        round_channels.get(node, 0) if round_channels else 0,
+                    )
+            else:
+                observation = None
+            if record_trace:
                 if payload is _LISTEN:
-                    runner.listen_rounds += 1
-                    if tx_count == 0:
-                        observation = obs_zero
-                    elif tx_count == 1:
-                        observation = (
-                            lone_observation
-                            if runner.node in lone_neighbors
-                            else obs_zero
-                        )
-                    elif counts_list is not None:
-                        count = counts_list[runner.node]
-                        if count >= 2:
-                            observation = obs_many
-                        elif not count:
-                            observation = obs_zero
-                        elif obs_one is not None:
-                            observation = obs_one
-                        else:
-                            node = runner.node
-                            if tx_map is None:
-                                tx_map = dict(zip(tx_nodes, tx_payloads))
-                                tx_keys = tx_map.keys()
-                            observation = message(
-                                tx_map[(neighbor_sets[node] & tx_keys).pop()]
-                            )
-                    else:
-                        node = runner.node
-                        # A node absent from the scatter tally has zero
-                        # transmitting neighbors; a present one has >= 1,
-                        # so the >= 2 test alone separates the buckets.
-                        try:
-                            count = counts[node]
-                        except KeyError:
-                            observation = obs_zero
-                        else:
-                            if count >= 2:
-                                observation = obs_many
-                            elif obs_one is not None:
-                                observation = obs_one
-                            else:
-                                if tx_map is None:
-                                    tx_map = dict(zip(tx_nodes, tx_payloads))
-                                    tx_keys = tx_map.keys()
-                                observation = message(
-                                    tx_map[(neighbor_sets[node] & tx_keys).pop()]
-                                )
+                    event = TraceEvent(
+                        round=current_round,
+                        node=runner.node,
+                        action="listen",
+                        observed=observation_label(observation, model),
+                    )
                 else:
-                    runner.transmit_rounds += 1
-                    observation = None
-                ctx._now = next_round
-                # Inline advance() fast path: resume, and when the next
-                # action is an immediate transmit/listen needing no
-                # crash/congest checks, park it directly in the (cached)
-                # next-round slot; anything else (sleeps, termination
-                # follow-ups, faults, errors) takes the full slow path.
+                    event = TraceEvent(
+                        round=current_round,
+                        node=runner.node,
+                        action="transmit",
+                        payload=payload,
+                    )
+                trace.record(event)
+            ctx._now = next_round
+            # Inline advance() fast path: resume, and when the next
+            # action is an immediate transmit/listen needing no
+            # crash/congest checks, park it directly in the (cached)
+            # next-round slot; anything else (sleeps, termination
+            # follow-ups, faults, errors) takes the full slow path.
+            try:
+                action = runner.send(observation)
+            except StopIteration:
+                runner.done = True
+                runner.finish_round = next_round
+                continue
+            if fast_schedule:
                 try:
-                    action = runner.send(observation)
-                except StopIteration:
-                    runner.done = True
-                    runner.finish_round = next_round
-                    continue
-                if fast_schedule:
-                    try:
-                        tag = action.tag
-                    except AttributeError:
-                        tag = None
-                    if tag != TAG_LISTEN and tag != TAG_TRANSMIT:
-                        advance_action(runner, action)
-                        # The slow path may have created next round's
-                        # slot behind the cache's back.
-                        next_slot = None
-                        continue
+                    tag = action.tag
+                except AttributeError:
+                    tag = None
+                if tag == TAG_LISTEN or tag == TAG_TRANSMIT:
                     if next_slot is None:
-                        next_slot = calendar_get(next_round)
-                        if next_slot is None:
-                            if slot_pool:
-                                next_slot = slot_pool.pop()
-                                tel_slot_reuses += 1
-                            else:
-                                next_slot = ([], [], [])
-                                tel_slot_allocs += 1
-                            calendar[next_round] = next_slot
-                            heappush(round_heap, next_round)
-                            tel_heap_pushes += 1
+                        next_slot = calendar_get(next_round) or open_slot(next_round)
                         next_bucket, next_txn, next_txp = next_slot
                     if tag == TAG_LISTEN:
                         next_bucket.append((runner, _LISTEN))
@@ -985,16 +736,18 @@ def run_protocol(
                         next_txn.append(runner.node)
                         next_txp.append(payload)
                     if action.channel:
-                        mc_slot = mc_calendar.get(next_round)
-                        if mc_slot is None:
-                            mc_slot = mc_calendar[next_round] = {}
-                        mc_slot[runner.node] = action.channel
-                else:
-                    advance_action(runner, action)
+                        mc_calendar.setdefault(next_round, {})[
+                            runner.node
+                        ] = action.channel
+                    continue
+            advance_action(runner, action)
+            # The slow path may have created next round's slot behind
+            # the cache's back.
+            next_slot = None
 
         # Reset the scatter buffer and recycle the emptied slot: newly
         # populated rounds reuse pooled lists instead of allocating.
-        if tx_count > 1 and counts_list is None:
+        if shape == _SCATTER:
             counts.clear()
         if len(slot_pool) < 64:
             bucket.clear()
@@ -1017,12 +770,9 @@ def run_protocol(
             rounds_skipped=(
                 (last_round - first_round + 1) - tel_rounds if tel_rounds else 0
             ),
-            zero_tx_rounds=(
-                tel_rounds - tel_one_tx - tel_scatter_dict - tel_scatter_np
-            ),
+            zero_tx_rounds=tel_rounds - tel_one_tx - tel_scatter,
             one_tx_rounds=tel_one_tx,
-            scatter_dict_rounds=tel_scatter_dict,
-            scatter_bincount_rounds=tel_scatter_np,
+            scatter_dict_rounds=tel_scatter,
             heap_pushes=tel_heap_pushes,
             slot_reuses=tel_slot_reuses,
             slot_allocs=tel_slot_allocs,

@@ -1,8 +1,8 @@
 """Structured execution tracing for debugging and experiments.
 
-Tracing is strictly opt-in: the engine holds a :class:`NullTrace` by
-default (every hook is a no-op), and a :class:`TraceRecorder` when the
-caller wants an event log.  Events capture awake actions and their
+Tracing is strictly opt-in: the engine records nothing without a sink
+or with a :class:`NullTrace` (``enabled`` is false), and feeds a
+:class:`TraceRecorder` when the caller wants an event log.  Events capture awake actions and their
 observations — enough to replay any collision resolution decision.
 """
 

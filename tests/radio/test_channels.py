@@ -18,10 +18,11 @@ import pytest
 from repro.baselines import MultichannelMISProtocol, NaiveCDLubyProtocol
 from repro.constants import ConstantsProfile
 from repro.errors import ConfigurationError, SimulationError
+from repro.faults import FaultPlan, JamWindow
 from repro.graphs import gnp_random_graph
 from repro.radio import CD, Listen, Protocol, Transmit, run_protocol
 from repro.radio._engine_reference import run_protocol_reference
-from repro.radio.models import BEEPING, NO_CD, MultichannelModel
+from repro.radio.models import BEEPING, BEEPING_SENDER_CD, NO_CD, MultichannelModel
 from repro.radio.trace import TraceRecorder
 
 FAST = ConstantsProfile.fast()
@@ -200,7 +201,6 @@ class TestMultichannelTelemetry:
             == tel.zero_tx_rounds
             + tel.one_tx_rounds
             + tel.scatter_dict_rounds
-            + tel.scatter_bincount_rounds
         )
         assert set(tel.channel_tx_rounds) <= set(range(4))
         assert sum(tel.channel_tx_rounds.values()) > 0
@@ -266,14 +266,37 @@ class _RandomChannelProbe(Protocol):
     channels=st.integers(min_value=1, max_value=6),
     n=st.integers(min_value=4, max_value=24),
     p=st.sampled_from([0.15, 0.4]),
+    base=st.sampled_from([CD, NO_CD, BEEPING, BEEPING_SENDER_CD]),
+    jam=st.none()
+    | st.tuples(
+        st.integers(min_value=0, max_value=10),  # start round
+        st.integers(min_value=1, max_value=6),  # window length
+        st.sampled_from([0.5, 1.0]),  # probability
+        st.integers(min_value=0, max_value=5),  # channel (mod C)
+    ),
 )
-def test_fuzz_random_channels_golden(seed, channels, n, p):
+def test_fuzz_random_channels_golden(seed, channels, n, p, base, jam):
+    """Random channels x every base model (incl. sender-side detection)
+    x an optional one-channel jam: both engines agree on every value
+    and every trace event."""
     graph = gnp_random_graph(n, p, seed=seed % 1000)
     protocol = _RandomChannelProbe(channels, steps=12)
-    model = MultichannelModel(CD, channels)
-    reference = run_protocol_reference(graph, protocol, model, seed=seed)
-    optimized = run_protocol(graph, protocol, model, seed=seed)
+    model = MultichannelModel(base, channels)
+    faults = None
+    if jam is not None:
+        start, length, probability, channel = jam
+        window = JamWindow(
+            start, start + length, probability, channel=channel % channels
+        )
+        faults = FaultPlan(seed=seed % 1000, jams=(window,))
+    kwargs = dict(seed=seed, faults=faults, check_model_compatibility=False)
+    ref_trace, opt_trace = TraceRecorder(), TraceRecorder()
+    reference = run_protocol_reference(
+        graph, protocol, model, trace=ref_trace, **kwargs
+    )
+    optimized = run_protocol(graph, protocol, model, trace=opt_trace, **kwargs)
     assert optimized == reference
+    assert opt_trace.events == ref_trace.events
 
 
 @settings(max_examples=15, deadline=None)

@@ -267,7 +267,6 @@ class TestTelemetryInvariants:
             tel.zero_tx_rounds
             + tel.one_tx_rounds
             + tel.scatter_dict_rounds
-            + tel.scatter_bincount_rounds
         )
         assert tel.rounds_skipped >= 0
         assert tel.heap_pushes >= 0
