@@ -11,7 +11,7 @@ event loop show up as timing changes:
 * a full Algorithm 1 run — the end-to-end common case.
 
 Each scenario is timed against **both** engines — the optimized
-:func:`repro.radio.engine.run_protocol` and the frozen seed engine
+:func:`repro.radio.engine.run_protocol` and the reference engine
 :func:`repro.radio._engine_reference.run_protocol_reference` — and the
 headline metric is their **speedup ratio**.  The ratio is host
 independent (both engines run on the same machine in the same process),

@@ -32,7 +32,7 @@ from typing import Optional
 
 from ..constants import ConstantsProfile
 from ..errors import ConfigurationError
-from ..radio.actions import Listen, Transmit
+from ..radio.actions import LISTEN, TRANSMIT
 from ..radio.node import Decision, NodeContext, Protocol, ProtocolRun
 
 __all__ = ["SenderCDBeepingMISProtocol"]
@@ -73,17 +73,17 @@ class SenderCDBeepingMISProtocol(Protocol):
             marked = ctx.rng.random() < desire
             # --- contend: everyone perceives neighbor beeps ------------
             if marked:
-                observation = yield Transmit(1)
+                observation = yield TRANSMIT
             else:
-                observation = yield Listen()
+                observation = yield LISTEN
             heard_marked = observation is not None and observation.heard_something
 
             if marked and not heard_marked:
                 # Exact lone-beeper test passed: join and announce.
-                yield Transmit(1)
+                yield TRANSMIT
                 ctx.decide(Decision.IN_MIS)
                 return
-            observation = yield Listen()
+            observation = yield LISTEN
             if observation.heard_something:
                 ctx.decide(Decision.OUT_MIS)
                 return

@@ -46,7 +46,7 @@ from typing import Optional
 from ..constants import ConstantsProfile
 from ..core.ranks import draw_rank
 from ..errors import ConfigurationError
-from ..radio.actions import Listen, Transmit
+from ..radio.actions import LISTEN, TRANSMIT, Listen, Transmit
 from ..radio.node import Decision, NodeContext, Protocol, ProtocolRun
 
 __all__ = ["MultichannelMISProtocol"]
@@ -91,13 +91,15 @@ class MultichannelMISProtocol(Protocol):
             # baseline — the C=1 equivalence tests rely on it.
             channel = ctx.rng.randrange(channels) if channels > 1 else 0
             rank = draw_rank(ctx.rng, bits)
+            transmit = Transmit(1, channel)
+            listen = Listen(channel)
             lost = False
             ctx.set_component("competition")
             for bit in rank:
                 if bit and not lost:
-                    yield Transmit(1, channel)
+                    yield transmit
                 else:
-                    observation = yield Listen(channel)
+                    observation = yield listen
                     if observation.heard_something and not bit:
                         lost = True
 
@@ -106,17 +108,17 @@ class MultichannelMISProtocol(Protocol):
                 # Defer to lower-channel winners: anything heard in an
                 # earlier announce slot is an adjacent committed winner.
                 for _slot in range(channel):
-                    observation = yield Listen()
+                    observation = yield LISTEN
                     if observation.heard_something:
                         ctx.decide(Decision.OUT_MIS)
                         return
-                yield Transmit(1)
+                yield TRANSMIT
                 ctx.decide(Decision.IN_MIS)
                 return
             # Losers audit the whole announce block: the first audible
             # slot proves an adjacent winner committed.
             for _slot in range(channels):
-                observation = yield Listen()
+                observation = yield LISTEN
                 if observation.heard_something:
                     ctx.decide(Decision.OUT_MIS)
                     return

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..constants import ConstantsProfile
-from ..radio.actions import Listen, Transmit
+from ..radio.actions import LISTEN, TRANSMIT
 from ..radio.node import Decision, NodeContext, Protocol, ProtocolRun
 from ..core.ranks import draw_rank
 
@@ -50,21 +50,21 @@ class NaiveCDLubyProtocol(Protocol):
             ctx.set_component("competition")
             for bit in rank:
                 if bit and not lost:
-                    yield Transmit(1)
+                    yield TRANSMIT
                 else:
                     # Energy-oblivious: keep listening even after losing
                     # (and on 1-bits once lost, since a lost node must
                     # stop transmitting to preserve the winner law).
-                    observation = yield Listen()
+                    observation = yield LISTEN
                     if observation.heard_something and not bit:
                         lost = True
 
             ctx.set_component("check")
             if not lost:
-                yield Transmit(1)
+                yield TRANSMIT
                 ctx.decide(Decision.IN_MIS)
                 return
-            observation = yield Listen()
+            observation = yield LISTEN
             if observation.heard_something:
                 ctx.decide(Decision.OUT_MIS)
                 return

@@ -35,7 +35,7 @@ from typing import Any, Generator, Optional
 
 from ..constants import log2_ceil
 from ..errors import ProtocolError
-from ..radio.actions import Action, Listen, Sleep, Transmit
+from ..radio.actions import LISTEN, Action, Transmit, sleep_for
 from ..radio.node import NodeContext
 
 __all__ = [
@@ -86,11 +86,6 @@ def geometric_slot(rng: random.Random, slots: int) -> int:
     return slot
 
 
-def _sleep(rounds: int) -> Generator[Action, Any, None]:
-    if rounds > 0:
-        yield Sleep(rounds)
-
-
 def snd_ebackoff(ctx: NodeContext, k: int, delta: int, payload: Any = 1) -> BackoffRun:
     """Algorithm 4's Snd-EBackoff(k, Delta): transmit once per iteration.
 
@@ -99,11 +94,18 @@ def snd_ebackoff(ctx: NodeContext, k: int, delta: int, payload: Any = 1) -> Back
     sender and receiver results uniformly.
     """
     slots = backoff_slots(delta)
+    transmit = Transmit(payload)
+    rand = ctx.rng.random
     for _ in range(k):
-        slot = geometric_slot(ctx.rng, slots)
-        yield from _sleep(slot - 1)
-        yield Transmit(payload)
-        yield from _sleep(slots - slot)
+        # geometric_slot, inlined: the same draws in the same order.
+        slot = 1
+        while slot < slots and rand() < 0.5:
+            slot += 1
+        if slot > 1:
+            yield sleep_for(slot - 1)
+        yield transmit
+        if slot < slots:
+            yield sleep_for(slots - slot)
     return False
 
 
@@ -126,17 +128,18 @@ def rec_ebackoff(
     heard = False
     for iteration in range(k):
         if heard:
-            remaining_iterations = k - iteration
-            yield from _sleep(remaining_iterations * slots)
+            yield sleep_for((k - iteration) * slots)
             break
         for slot in range(1, listen_slots + 1):
-            observation = yield Listen()
+            observation = yield LISTEN
             if observation is not None and observation.heard_something:
                 heard = True
-                yield from _sleep(slots - slot)
+                if slot < slots:
+                    yield sleep_for(slots - slot)
                 break
         else:
-            yield from _sleep(slots - listen_slots)
+            if listen_slots < slots:
+                yield sleep_for(slots - listen_slots)
     return heard
 
 
@@ -161,15 +164,16 @@ def snd_rec_ebackoff(
     """
     slots = backoff_slots(delta)
     listen_slots = min(slots, backoff_slots(delta_est if delta_est is not None else delta))
+    transmit = Transmit(payload)
     heard = False
     for _ in range(k):
         send_slot = geometric_slot(ctx.rng, slots)
         slot = 1
         while slot <= slots:
             if slot == send_slot:
-                yield Transmit(payload)
+                yield transmit
             elif not heard and slot <= listen_slots:
-                observation = yield Listen()
+                observation = yield LISTEN
                 if observation is not None and observation.heard_something:
                     heard = True
             else:
@@ -177,10 +181,10 @@ def snd_rec_ebackoff(
                 # to its end (or up to the pending transmit slot).
                 sleep_end = slots if send_slot < slot else send_slot - 1
                 if heard or slot > listen_slots:
-                    yield from _sleep(sleep_end - slot + 1)
+                    yield sleep_for(sleep_end - slot + 1)
                     slot = sleep_end
                 else:
-                    yield Sleep(1)
+                    yield sleep_for(1)
             slot += 1
     return heard
 
@@ -195,13 +199,14 @@ def traditional_decay_sender(
     Snd-EBackoff improves on.  Awake all ``k * ceil(log Delta)`` rounds.
     """
     slots = backoff_slots(delta)
+    transmit = Transmit(payload)
     for _ in range(k):
         stop_after = geometric_slot(ctx.rng, slots)
         for slot in range(1, slots + 1):
             if slot <= stop_after:
-                yield Transmit(payload)
+                yield transmit
             else:
-                yield Listen()
+                yield LISTEN
     return False
 
 
@@ -215,7 +220,7 @@ def traditional_decay_receiver(ctx: NodeContext, k: int, delta: int) -> BackoffR
     slots = backoff_slots(delta)
     heard = False
     for _ in range(k * slots):
-        observation = yield Listen()
+        observation = yield LISTEN
         if observation is not None and observation.heard_something:
             heard = True
     return heard

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..constants import ConstantsProfile
-from ..radio.actions import Listen, Sleep, Transmit
+from ..radio.actions import LISTEN, TRANSMIT, sleep_for
 from ..radio.node import Decision, NodeContext, Protocol, ProtocolRun
 from .ranks import draw_rank, rank_to_int
 
@@ -77,20 +77,20 @@ class CDMISProtocol(Protocol):
             ctx.set_component("competition")
             for position, bit in enumerate(rank):
                 if bit:
-                    yield Transmit(1)
+                    yield TRANSMIT
                 else:
-                    observation = yield Listen()
+                    observation = yield LISTEN
                     if observation.heard_something:
                         lost = True
                         remaining = bits - (position + 1)
                         if remaining:
-                            yield Sleep(remaining)
+                            yield sleep_for(remaining)
                         break
 
             ctx.set_component("check")
             if not lost:
                 # Winner: confirm inclusion so losing neighbors terminate.
-                yield Transmit(1)
+                yield TRANSMIT
                 ctx.decide(Decision.IN_MIS)
                 if self.instrument:
                     phase_log.append(
@@ -98,7 +98,7 @@ class CDMISProtocol(Protocol):
                     )
                     ctx.info["decided_phase"] = phase
                 return
-            observation = yield Listen()
+            observation = yield LISTEN
             if observation.heard_something:
                 ctx.decide(Decision.OUT_MIS)
                 if self.instrument:

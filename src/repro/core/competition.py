@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..constants import ConstantsProfile
-from ..radio.actions import Action, Sleep
+from ..radio.actions import Action, sleep_for
 from ..radio.node import NodeContext
 from .backoff import backoff_rounds, rec_ebackoff, snd_ebackoff
 from .ranks import draw_rank, rank_to_int
@@ -113,7 +113,7 @@ def competition(
         if bit:
             if mute_committed_on_hear and committed and heard:
                 # Ablation: a beaten committed node stays silent.
-                yield Sleep(bitty_rounds)
+                yield sleep_for(bitty_rounds)
             else:
                 ctx.set_component("competition-send")
                 yield from snd_ebackoff(ctx, k, delta)
@@ -125,7 +125,7 @@ def competition(
             if heard:
                 remaining = bits - (position + 1)
                 if remaining:
-                    yield Sleep(remaining * bitty_rounds)
+                    yield sleep_for(remaining * bitty_rounds)
                 return CompetitionOutcome(
                     status=LOSE,
                     committed=False,
@@ -138,7 +138,7 @@ def competition(
             # Lost: sleep through the remaining bitty phases.
             remaining = bits - (position + 1)
             if remaining:
-                yield Sleep(remaining * bitty_rounds)
+                yield sleep_for(remaining * bitty_rounds)
             return CompetitionOutcome(
                 status=LOSE,
                 committed=False,

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..constants import ConstantsProfile
-from ..radio.actions import Action, Sleep
+from ..radio.actions import Action, sleep_for
 from ..radio.node import Decision, NodeContext, Protocol, ProtocolRun
 from .backoff import backoff_rounds, rec_ebackoff, snd_ebackoff, snd_rec_ebackoff
 
@@ -86,7 +86,7 @@ def low_degree_mis(
     for _ in range(outer):
         # ----- exchange A: marked nodes contend -------------------------
         if joined:
-            yield Sleep(exchange_rounds)
+            yield sleep_for(exchange_rounds)
             heard_marked = False
             marked = False
         else:

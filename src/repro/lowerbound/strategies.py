@@ -34,7 +34,7 @@ from typing import Optional
 
 from ..constants import ConstantsProfile
 from ..errors import ConfigurationError
-from ..radio.actions import Listen, Sleep, Transmit
+from ..radio.actions import LISTEN, TRANSMIT, sleep_for
 from ..radio.node import Decision, NodeContext, Protocol, ProtocolRun
 from ..core.ranks import draw_rank
 
@@ -62,9 +62,9 @@ class SynchronizedCoinStrategy(Protocol):
     def run(self, ctx: NodeContext) -> ProtocolRun:
         for _ in range(self.budget):
             if ctx.rng.random() < 0.5:
-                yield Transmit(1)
+                yield TRANSMIT
             else:
-                observation = yield Listen()
+                observation = yield LISTEN
                 if observation.heard_something:
                     ctx.decide(Decision.OUT_MIS)
                     return
@@ -95,12 +95,12 @@ class SpreadCoinStrategy(Protocol):
         clock = 0
         for awake_round in awake_rounds:
             if awake_round > clock:
-                yield Sleep(awake_round - clock)
+                yield sleep_for(awake_round - clock)
             clock = awake_round + 1
             if ctx.rng.random() < 0.5:
-                yield Transmit(1)
+                yield TRANSMIT
             else:
-                observation = yield Listen()
+                observation = yield LISTEN
                 if observation.heard_something:
                     ctx.decide(Decision.OUT_MIS)
                     return
@@ -150,25 +150,25 @@ class EnergyCappedCDMIS(Protocol):
                     return
                 spent += 1
                 if bit:
-                    yield Transmit(1)
+                    yield TRANSMIT
                 else:
-                    observation = yield Listen()
+                    observation = yield LISTEN
                     if observation.heard_something:
                         ever_heard = True
                         lost = True
                         remaining = bits - (position + 1)
                         if remaining:
-                            yield Sleep(remaining)
+                            yield sleep_for(remaining)
                         break
             if out_of_budget():
                 ctx.decide(Decision.OUT_MIS if ever_heard else Decision.IN_MIS)
                 return
             spent += 1
             if not lost:
-                yield Transmit(1)
+                yield TRANSMIT
                 ctx.decide(Decision.IN_MIS)
                 return
-            observation = yield Listen()
+            observation = yield LISTEN
             if observation.heard_something:
                 ever_heard = True
                 ctx.decide(Decision.OUT_MIS)

@@ -1,6 +1,15 @@
 """Radio-network simulator: actions, collision models, engine, metrics."""
 
-from .actions import Action, Listen, Sleep, SleepUntil, Transmit
+from .actions import (
+    LISTEN,
+    TRANSMIT,
+    Action,
+    Listen,
+    Sleep,
+    SleepUntil,
+    Transmit,
+    sleep_for,
+)
 from .engine import DEFAULT_MAX_ROUNDS, payload_bits, run_protocol
 from .metrics import NodeStats, RunResult
 from .models import (
@@ -25,6 +34,9 @@ __all__ = [
     "Sleep",
     "SleepUntil",
     "Transmit",
+    "LISTEN",
+    "TRANSMIT",
+    "sleep_for",
     "DEFAULT_MAX_ROUNDS",
     "payload_bits",
     "run_protocol",

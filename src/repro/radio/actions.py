@@ -11,6 +11,13 @@ and a sleeping node's radio is off).
 fast-forwards them, which is what makes the paper's
 ``O(log^3 n log Delta)``-round executions cheap to simulate — the
 simulation cost tracks *energy* (awake rounds), not wall-clock rounds.
+
+Actions are immutable values: a protocol may yield the same object
+every round.  The hot protocols do exactly that, since the engine's
+work unit is one yielded action and building a fresh dataclass per
+awake round is a measurable share of a run.  :data:`LISTEN` and
+:data:`TRANSMIT` are the shared ``Listen()`` and ``Transmit(1)``, and
+:func:`sleep_for` returns a shared ``Sleep`` for short durations.
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ __all__ = [
     "Sleep",
     "SleepUntil",
     "Action",
+    "LISTEN",
+    "TRANSMIT",
+    "sleep_for",
     "TAG_TRANSMIT",
     "TAG_LISTEN",
     "TAG_SLEEP",
@@ -110,3 +120,30 @@ class SleepUntil:
 
 
 Action = Union[Transmit, Listen, Sleep, SleepUntil]
+
+
+LISTEN = Listen()
+"""The shared ``Listen()`` (channel 0)."""
+
+TRANSMIT = Transmit()
+"""The shared ``Transmit(1)`` (payload 1, channel 0)."""
+
+#: ``sleep_for`` serves durations below this bound from a table.  It
+#: covers the backoff slot and tail sleeps that dominate Algorithms 2-4;
+#: the rare long sleeps (a Competition loser sleeping out its remaining
+#: bitty phases) build a fresh ``Sleep``.
+SLEEP_CACHE_SIZE = 1024
+
+_SLEEPS = tuple(Sleep(rounds) for rounds in range(SLEEP_CACHE_SIZE))
+
+
+def sleep_for(rounds: int) -> Sleep:
+    """Return an action equal to ``Sleep(rounds)``, shared when short.
+
+    Durations in ``[0, SLEEP_CACHE_SIZE)`` come from a table built at
+    import; any other duration builds a new ``Sleep``, so a negative one
+    still raises :class:`~repro.errors.ProtocolError`.
+    """
+    if 0 <= rounds < SLEEP_CACHE_SIZE:
+        return _SLEEPS[rounds]
+    return Sleep(rounds)

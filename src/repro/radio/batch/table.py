@@ -55,7 +55,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ...core.backoff import geometric_slot
 from ...errors import ProtocolError
-from ..actions import Listen, Sleep, Transmit
+from ..actions import LISTEN, TRANSMIT, sleep_for
 from ..node import Decision, NodeContext, Protocol, ProtocolRun
 
 __all__ = [
@@ -254,25 +254,25 @@ def run_table(program: TableProgram, ctx: NodeContext) -> ProtocolRun:
                     f"table {program.protocol_name!r}: sleep state "
                     f"{state_index} evaluated to {duration} rounds"
                 )
-            yield Sleep(duration)
+            yield sleep_for(duration)
             obs_class = OBS_NEXT
         else:
             if state.component != component:
                 component = state.component
                 ctx.set_component(component)
             if emit == EMIT_TRANSMIT:
-                yield Transmit(1)
+                yield TRANSMIT
                 obs_class = OBS_NEXT
             elif emit == EMIT_BIT and (
                 (regs[state.a] >> (width - 1 - regs[state.b])) & 1
             ):
-                yield Transmit(1)
+                yield TRANSMIT
                 obs_class = OBS_TX
             elif emit == EMIT_LE and regs[state.a] <= regs[state.b]:
-                yield Transmit(1)
+                yield TRANSMIT
                 obs_class = OBS_TX
             else:
-                observation = yield Listen()
+                observation = yield LISTEN
                 heard = observation is not None and observation.heard_something
                 obs_class = OBS_HEARD if heard else OBS_SILENCE
 

@@ -1,13 +1,14 @@
-"""Golden-equivalence tests: the optimized engine vs the frozen seed engine.
+"""Golden-equivalence tests: the optimized engine vs the reference engine.
 
-PR 2 rewrote :func:`repro.radio.engine.run_protocol`'s hot path (scatter
-collision resolution, bucketed round calendar, interned observations,
-shape-specialized round loops).  The optimization contract is *bit
+:func:`repro.radio.engine.run_protocol` is the optimized engine (dict
+scatter collision resolution, bucketed round calendar, interned
+observations, one per-node round loop).  Its contract is *bit
 identity*: for every protocol, collision model, seed, trace setting, and
-fault/wake schedule, the new engine must produce a
+fault/wake schedule, it must produce a
 :class:`~repro.radio.metrics.RunResult` (and trace event stream) equal to
-the pre-optimization engine, which is preserved verbatim as
-:func:`repro.radio._engine_reference.run_protocol_reference`.
+the sequential oracle
+:func:`repro.radio._engine_reference.run_protocol_reference`, the
+plainest statement of the model's semantics.
 
 These tests are the enforcement.  If an engine change breaks one, the
 change is wrong — the reference is the specification.
@@ -190,8 +191,8 @@ def test_dense_traffic_faults_bit_identical(model):
 
 
 class DenseTraffic(Protocol):
-    """Every node alternates transmit/listen — drives the scatter path,
-    including the heavy-round (numpy-accelerated, when available) branch."""
+    """Every node alternates transmit/listen — drives the dict scatter
+    path with many transmitters per round."""
 
     name = "dense-traffic"
     compatible_models = ("cd", "no-cd", "beep")
